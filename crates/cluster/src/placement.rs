@@ -183,13 +183,12 @@ impl PlacementRuntime {
         for (i, server) in servers.iter().enumerate() {
             let nm = &node_managers[i];
             let mut usage = UsageVector::default();
-            let ids = server.vm_ids();
-            for &vm in &ids {
+            for vm in server.vms() {
                 usage = usage.plus(&vm_usage(nm, server, vm));
             }
             self.loads.push(ServerLoad {
                 usage,
-                vms: ids.len(),
+                vms: server.vms().len(),
                 protected: !cloud.apps_on(ServerId(i as u32)).is_empty(),
             });
         }

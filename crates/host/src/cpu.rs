@@ -17,48 +17,88 @@ pub struct CpuRequest {
     pub weight: f64,
 }
 
+/// Reusable working columns of [`allocate_into`]: the per-request
+/// effective demand and the still-unsatisfied request indices. Holding one
+/// across calls lets the water-filling run without touching the heap once
+/// the columns have grown to the largest request slice seen.
+#[derive(Debug, Clone, Default)]
+pub struct CpuScratch {
+    want: Vec<f64>,
+    active: Vec<usize>,
+}
+
+impl CpuScratch {
+    /// Empty scratch; the columns grow on first use.
+    pub const fn new() -> Self {
+        CpuScratch { want: Vec::new(), active: Vec::new() }
+    }
+}
+
 /// Allocates `capacity` core-seconds among the requests with weighted
 /// max-min fairness. Returns per-request allocations, each ≤
 /// `min(demand, limit)`, summing to ≤ `capacity`. Work-conserving: if total
 /// effective demand ≤ capacity everyone gets their demand.
 pub fn allocate(requests: &[CpuRequest], capacity: f64) -> Vec<f64> {
+    let mut alloc = Vec::new();
+    allocate_into(requests, capacity, &mut CpuScratch::new(), &mut alloc);
+    alloc
+}
+
+/// [`allocate`] into a caller-owned output, reusing `scratch`: `alloc` is
+/// overwritten with one allocation per request, bit-identical to what
+/// [`allocate`] returns for the same input whatever the scratch held.
+pub fn allocate_into(
+    requests: &[CpuRequest],
+    capacity: f64,
+    scratch: &mut CpuScratch,
+    alloc: &mut Vec<f64>,
+) {
     let n = requests.len();
-    let mut alloc = vec![0.0; n];
+    alloc.clear();
+    alloc.resize(n, 0.0);
     if n == 0 || capacity <= 0.0 {
-        return alloc;
+        return;
     }
     // Effective demand per VM.
-    let want: Vec<f64> = requests.iter().map(|r| r.demand.min(r.limit).max(0.0)).collect();
+    let want = &mut scratch.want;
+    want.clear();
+    want.extend(requests.iter().map(|r| r.demand.min(r.limit).max(0.0)));
+    let active = &mut scratch.active;
+    active.clear();
+    active.extend((0..n).filter(|&i| want[i] > 0.0));
     let mut remaining = capacity;
-    let mut active: Vec<usize> = (0..n).filter(|&i| want[i] > 0.0).collect();
     // Progressive filling: in each round, offer every active VM its weighted
     // share of the remaining capacity; VMs whose residual want is below the
     // share are satisfied and leave, freeing capacity for the next round.
+    // Leavers are compacted out in place, so the survivors keep their order
+    // (and every later round its summation order).
     while !active.is_empty() && remaining > 1e-15 {
         let total_weight: f64 = active.iter().map(|&i| requests[i].weight.max(1e-9)).sum();
-        let mut satisfied: Vec<usize> = Vec::new();
         let mut consumed = 0.0;
-        for &i in &active {
+        let mut kept = 0;
+        for r in 0..active.len() {
+            let i = active[r];
             let share = remaining * requests[i].weight.max(1e-9) / total_weight;
             let residual = want[i] - alloc[i];
             if residual <= share {
                 alloc[i] = want[i];
                 consumed += residual;
-                satisfied.push(i);
+            } else {
+                active[kept] = i;
+                kept += 1;
             }
         }
-        if satisfied.is_empty() {
+        if kept == active.len() {
             // No one is satisfiable: split the remainder by weight and stop.
-            for &i in &active {
+            for &i in active.iter() {
                 let share = remaining * requests[i].weight.max(1e-9) / total_weight;
                 alloc[i] += share;
             }
             break;
         }
         remaining -= consumed;
-        active.retain(|i| !satisfied.contains(i));
+        active.truncate(kept);
     }
-    alloc
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! deviation a contention signal (see [`crate::jitter`]).
 
 use crate::config::DiskConfig;
-use crate::cpu::{allocate as waterfill, CpuRequest};
+use crate::cpu::{allocate_into as waterfill_into, CpuRequest, CpuScratch};
 
 /// One VM's I/O demand reaching the device this tick (post-throttle).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -63,17 +63,53 @@ fn device_time(req: &DiskRequest, cfg: &DiskConfig, speed: f64) -> f64 {
     req.rand_ops / iops + (req.rand_bytes + req.seq_bytes) / bps
 }
 
+/// Reusable working columns of [`allocate_into`]: each request's device
+/// time as a water-filling request, the granted device time, and the
+/// water-filling's own scratch.
+#[derive(Debug, Clone, Default)]
+pub struct DiskScratch {
+    fill: Vec<CpuRequest>,
+    granted: Vec<f64>,
+    cpu: CpuScratch,
+}
+
+impl DiskScratch {
+    /// Empty scratch; the columns grow on first use.
+    pub const fn new() -> Self {
+        DiskScratch { fill: Vec::new(), granted: Vec::new(), cpu: CpuScratch::new() }
+    }
+}
+
 /// Arbitrates the device for one tick of `dt` seconds.
 pub fn allocate(requests: &[DiskRequest], cfg: &DiskConfig, speed: f64, dt: f64) -> DiskTick {
+    let mut outcomes = Vec::new();
+    let offered_utilization =
+        allocate_into(requests, cfg, speed, dt, &mut DiskScratch::new(), &mut outcomes);
+    DiskTick { outcomes, offered_utilization }
+}
+
+/// [`allocate`] into a caller-owned output, reusing `scratch`: `outcomes`
+/// is overwritten with one outcome per request and the offered utilization
+/// is returned, both bit-identical to [`allocate`]'s for the same input.
+pub fn allocate_into(
+    requests: &[DiskRequest],
+    cfg: &DiskConfig,
+    speed: f64,
+    dt: f64,
+    scratch: &mut DiskScratch,
+    outcomes: &mut Vec<DiskOutcome>,
+) -> f64 {
     assert!(dt > 0.0, "tick length must be positive");
     assert!(speed > 0.0, "speed factor must be positive");
-    let want_time: Vec<f64> = requests.iter().map(|r| device_time(r, cfg, speed)).collect();
-    let offered: f64 = want_time.iter().sum::<f64>() / dt;
-
     // Share device time max-min fairly (equal weights).
-    let cpu_reqs: Vec<CpuRequest> =
-        want_time.iter().map(|&w| CpuRequest { demand: w, limit: w, weight: 1.0 }).collect();
-    let granted = waterfill(&cpu_reqs, dt);
+    let fill = &mut scratch.fill;
+    fill.clear();
+    fill.extend(requests.iter().map(|r| {
+        let w = device_time(r, cfg, speed);
+        CpuRequest { demand: w, limit: w, weight: 1.0 }
+    }));
+    let offered: f64 = fill.iter().map(|f| f.demand).sum::<f64>() / dt;
+    waterfill_into(fill, dt, &mut scratch.cpu, &mut scratch.granted);
 
     // Per-op queueing wait: (queue factor − 1) service times, scaled by luck.
     let rho = offered.min(0.999);
@@ -81,11 +117,10 @@ pub fn allocate(requests: &[DiskRequest], cfg: &DiskConfig, speed: f64, dt: f64)
     let base_wait = cfg.base_service_time / speed * (queue_factor - 1.0);
 
     let service = cfg.base_service_time / speed;
-    let outcomes = requests
-        .iter()
-        .zip(&want_time)
-        .zip(&granted)
-        .map(|((req, &want), &got)| {
+    outcomes.clear();
+    outcomes.extend(requests.iter().zip(fill.iter()).zip(&scratch.granted).map(
+        |((req, f), &got)| {
+            let want = f.demand;
             let frac = if want > 0.0 { (got / want).clamp(0.0, 1.0) } else { 0.0 };
             let wait_per_op = base_wait * req.luck.max(0.0);
             // Closed-loop latency effect: a requester with `queue_depth`
@@ -100,10 +135,9 @@ pub fn allocate(requests: &[DiskRequest], cfg: &DiskConfig, speed: f64, dt: f64)
             let bytes = (req.rand_bytes + req.seq_bytes) * eff;
             let wait = ops * wait_per_op;
             DiskOutcome { ops, bytes, wait }
-        })
-        .collect();
-
-    DiskTick { outcomes, offered_utilization: offered }
+        },
+    ));
+    offered
 }
 
 #[cfg(test)]

@@ -74,7 +74,15 @@ pub fn amplitude(utilization: f64, onset: f64, max_amp: f64, floor: f64) -> f64 
 }
 
 /// The multiplicative luck factor for one VM: `exp(amp · x)`.
+///
+/// With zero amplitude (every idle resource) the factor is returned as
+/// exactly `1.0` without calling `exp`: for any finite state `0 · x` is
+/// `±0` and `exp(±0)` is exactly 1, and [`Ar1`] states are always finite
+/// (Box–Muller draws `u1 ∈ (0, 1]`, so `ln u1` is finite).
 pub fn luck_multiplier(ar1_state: f64, amp: f64) -> f64 {
+    if amp == 0.0 {
+        return 1.0;
+    }
     (amp * ar1_state).exp()
 }
 
@@ -155,6 +163,22 @@ mod tests {
     fn luck_multiplier_is_one_without_amplitude() {
         assert_eq!(luck_multiplier(2.5, 0.0), 1.0);
         assert!((luck_multiplier(1.0, 0.5) - (0.5f64).exp()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_amplitude_shortcut_is_bitwise_exp() {
+        // The shortcut must return exactly what `exp(amp · x)` would, for
+        // both signed zeros and states well past any Box–Muller draw.
+        for amp in [0.0, -0.0] {
+            for x in [0.0, -0.0, 1e-300, -2.5, 3.75, 8.6, -8.6, 1e300, -1e300] {
+                assert_eq!(luck_multiplier(x, amp).to_bits(), 1.0f64.to_bits());
+                assert_eq!((amp * x).exp().to_bits(), 1.0f64.to_bits(), "exp(0·{x})");
+            }
+        }
+        // Any non-zero amplitude, however small, still takes `exp`.
+        for amp in [1e-12, -1e-12, 1e-3] {
+            assert_eq!(luck_multiplier(1.5, amp).to_bits(), (amp * 1.5).exp().to_bits());
+        }
     }
 
     #[test]

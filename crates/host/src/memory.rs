@@ -65,6 +65,21 @@ pub struct MemTick {
 
 /// Evaluates the memory model for one tick of `dt` seconds.
 pub fn model(requests: &[MemRequest], cfg: &MemoryConfig, dt: f64) -> MemTick {
+    let mut outcomes = Vec::new();
+    let offered_utilization = model_into(requests, cfg, dt, &mut outcomes);
+    MemTick { outcomes, offered_utilization }
+}
+
+/// [`model`] into a caller-owned output: `outcomes` is overwritten with one
+/// outcome per request and the offered utilization is returned, both
+/// bit-identical to [`model`]'s for the same input. The miss rates are
+/// staged in `outcomes` itself, so no other working column is needed.
+pub fn model_into(
+    requests: &[MemRequest],
+    cfg: &MemoryConfig,
+    dt: f64,
+    outcomes: &mut Vec<MemOutcome>,
+) -> f64 {
     assert!(dt > 0.0, "tick length must be positive");
     // Cache squeeze: total active footprint vs. LLC capacity. A VM's
     // eviction pressure is bounded by the bytes it can actually touch within
@@ -81,39 +96,39 @@ pub fn model(requests: &[MemRequest], cfg: &MemoryConfig, dt: f64) -> MemTick {
         .sum();
     let adequacy = if total_ws > 0.0 { (cfg.llc_bytes / total_ws).min(1.0) } else { 1.0 };
 
-    let miss_rates: Vec<f64> = requests
-        .iter()
-        .map(|r| (1.0 - r.cache_reuse.clamp(0.0, 1.0) * adequacy).clamp(0.0, 1.0))
-        .collect();
+    outcomes.clear();
+    outcomes.extend(requests.iter().map(|r| MemOutcome {
+        cpi: r.base_cpi,
+        miss_rate: (1.0 - r.cache_reuse.clamp(0.0, 1.0) * adequacy).clamp(0.0, 1.0),
+    }));
 
     // Offered DRAM bandwidth demand.
     let demand_bytes: f64 = requests
         .iter()
-        .zip(&miss_rates)
-        .map(|(r, &m)| r.instr_demand.max(0.0) * r.refs_per_instr * m * BYTES_PER_MISS)
+        .zip(outcomes.iter())
+        .map(|(r, o)| r.instr_demand.max(0.0) * r.refs_per_instr * o.miss_rate * BYTES_PER_MISS)
         .sum();
     let offered = demand_bytes / (cfg.bandwidth_bps * dt);
 
     let rho = offered.min(0.999);
     let queue = (1.0 / (1.0 - rho)).min(cfg.max_queue_factor);
 
-    let outcomes = requests
-        .iter()
-        .zip(&miss_rates)
-        .map(|(r, &m)| {
-            // Latency sensitivity scales with reuse: demand (pointer-chasing,
-            // reuse-heavy) loads stall for the full queueing delay, while
-            // streaming access (reuse ≈ 0) is prefetch-covered and
-            // bandwidth-bound, feeling queueing only weakly.
-            let sensitivity = r.cache_reuse.clamp(0.0, 1.0);
-            let effective_queue = queue.powf(sensitivity);
-            let stall =
-                r.refs_per_instr * m * cfg.miss_penalty_cycles * effective_queue * r.luck.max(0.0);
-            MemOutcome { cpi: r.base_cpi + stall, miss_rate: m }
-        })
-        .collect();
-
-    MemTick { outcomes, offered_utilization: offered }
+    for (r, o) in requests.iter().zip(outcomes.iter_mut()) {
+        // Latency sensitivity scales with reuse: demand (pointer-chasing,
+        // reuse-heavy) loads stall for the full queueing delay, while
+        // streaming access (reuse ≈ 0) is prefetch-covered and
+        // bandwidth-bound, feeling queueing only weakly. An idle bus
+        // (queue exactly 1) skips `powf`: 1^s is exactly 1 for every s.
+        let sensitivity = r.cache_reuse.clamp(0.0, 1.0);
+        let effective_queue = if queue == 1.0 { 1.0 } else { queue.powf(sensitivity) };
+        let stall = r.refs_per_instr
+            * o.miss_rate
+            * cfg.miss_penalty_cycles
+            * effective_queue
+            * r.luck.max(0.0);
+        o.cpi = r.base_cpi + stall;
+    }
+    offered
 }
 
 #[cfg(test)]
@@ -226,6 +241,32 @@ mod tests {
                 assert!((0.0..=1.0).contains(&m), "miss {m}");
             }
         }
+    }
+
+    #[test]
+    fn idle_bus_queue_shortcut_is_bitwise_powf() {
+        // `model_into` skips `powf` when the queue factor is exactly 1:
+        // 1^s is exactly 1 for every sensitivity the model can produce.
+        for s in [0.0, -0.0, 1e-300, 0.25, 0.5, 0.9, 1.0, f64::NAN] {
+            assert_eq!(1.0f64.powf(s).to_bits(), 1.0f64.to_bits(), "1^{s}");
+        }
+    }
+
+    #[test]
+    fn lightly_loaded_bus_still_pays_its_queue_factor() {
+        // Queue factor just above 1: the shortcut must not fire.
+        let r = victim(1e8);
+        let t = model(&[r], &cfg(), 0.1);
+        let rho = t.offered_utilization;
+        let queue = (1.0 / (1.0 - rho.min(0.999))).min(cfg().max_queue_factor);
+        assert!(queue > 1.0 && queue < 1.01, "queue {queue}");
+        let o = t.outcomes[0];
+        let stall = r.refs_per_instr
+            * o.miss_rate
+            * cfg().miss_penalty_cycles
+            * queue.powf(r.cache_reuse)
+            * r.luck;
+        assert_eq!(o.cpi.to_bits(), (r.base_cpi + stall).to_bits());
     }
 
     #[test]

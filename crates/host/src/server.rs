@@ -1,10 +1,22 @@
 //! The physical server: one tick of multi-resource arbitration.
 //!
-//! Each tick the server (1) steps every VM's luck processes, (2) aggregates
-//! per-VM demand, (3) applies blkio throttles, (4) arbitrates the block
-//! device, (5) evaluates the memory model to get per-VM CPI and miss rates,
-//! (6) allocates CPU time with hard caps, (7) updates cgroup counters, and
-//! (8) distributes achieved work back to processes, reaping finished ones.
+//! Each tick runs six stages over the hosted VMs, in boot order:
+//!
+//! 1. **luck** — step every VM's two AR(1) luck processes;
+//! 2. **demand** — ask every process of every running VM for its demand,
+//!    once, into one flat column, and sum each VM's slice of it;
+//! 3. **disk** — apply blkio throttles and arbitrate the block device;
+//! 4. **memory** — evaluate the LLC/bandwidth model for per-VM CPI and
+//!    miss rates;
+//! 5. **CPU** — allocate core-seconds with hard caps;
+//! 6. **accounting/reap** — update cgroup counters, hand achieved work back
+//!    to processes in proportion to their demands, and reap finished ones.
+//!
+//! Stages 1–2 and the per-VM request construction of 3–4 are independent
+//! across VMs and run as one pass; stages 3–5 each need every VM's input
+//! first. The per-tick columns live in a thread-local scratch shared by
+//! every server ticked on the thread (see [`PhysicalServer::tick`]), so a
+//! steady-state tick allocates nothing.
 //!
 //! Jitter amplitudes use the *previous* tick's utilization — the fluid-model
 //! equivalent of queue state carrying over — which avoids a circular
@@ -12,14 +24,15 @@
 
 use crate::config::{Priority, ServerConfig, VmConfig};
 use crate::counters::{CounterSnapshot, VmCounters};
-use crate::cpu::{allocate as cpu_allocate, CpuRequest};
-use crate::demand::{Achieved, Process, ProcessId};
-use crate::disk::{allocate as disk_allocate, DiskRequest};
+use crate::cpu::{allocate_into as cpu_allocate_into, CpuRequest, CpuScratch};
+use crate::demand::{Achieved, Process, ProcessId, ResourceDemand};
+use crate::disk::{allocate_into as disk_allocate_into, DiskOutcome, DiskRequest, DiskScratch};
 use crate::jitter::{amplitude, luck_multiplier, Ar1};
-use crate::memory::{model as mem_model, MemRequest};
+use crate::memory::{model_into as mem_model_into, MemOutcome, MemRequest};
 use crate::throttle::{CpuCap, IoThrottle};
-use crate::vm::{Vm, VmId};
+use crate::vm::{aggregate, Vm, VmDemand, VmId};
 use perfcloud_sim::{RngFactory, SimDuration};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Identifier of a physical server within the cluster.
@@ -120,9 +133,15 @@ impl PhysicalServer {
         self.vms.push(vm);
     }
 
-    /// All hosted VM ids, in boot order.
+    /// All hosted VM ids, in boot order (collected; [`vms`](Self::vms)
+    /// walks them without allocating).
     pub fn vm_ids(&self) -> Vec<VmId> {
-        self.vms.iter().map(|v| v.id).collect()
+        self.vms().collect()
+    }
+
+    /// Hosted VM ids in boot order, without collecting them.
+    pub fn vms(&self) -> impl ExactSizeIterator<Item = VmId> + '_ {
+        self.vms.iter().map(|v| v.id)
     }
 
     /// True if the VM is hosted here.
@@ -272,12 +291,23 @@ impl PhysicalServer {
     }
 
     /// Advances the server by one tick of length `dt`.
+    ///
+    /// The tick's working columns come from a scratch owned by the calling
+    /// thread, not by the server: one server's columns are dead as soon as
+    /// its tick returns, so every server ticked on a thread can share them,
+    /// and a steady-state tick allocates nothing while the cluster's memory
+    /// grows with the largest server rather than with the server count.
     pub fn tick(&mut self, dt: SimDuration) -> TickReport {
+        SCRATCH.with_borrow_mut(|scratch| self.tick_with(dt, scratch))
+    }
+
+    fn tick_with(&mut self, dt: SimDuration, s: &mut TickScratch) -> TickReport {
         let dt_s = dt.as_secs_f64();
         assert!(dt_s > 0.0, "tick length must be positive");
-        let n = self.vms.len();
+        let freq = self.config.effective_frequency();
 
-        // 1. Step luck processes; amplitude from last tick's utilization.
+        // 1–2. Luck (amplitude from last tick's utilization), demand, and
+        // the per-VM disk and memory requests.
         let io_amp = amplitude(
             self.last_disk_rho,
             self.config.disk.jitter_onset,
@@ -290,114 +320,96 @@ impl PhysicalServer {
             self.config.memory.jitter_amplitude,
             self.config.memory.jitter_floor,
         );
-        let mut io_luck = Vec::with_capacity(n);
-        let mut cpi_luck = Vec::with_capacity(n);
+        s.clear();
         for vm in &mut self.vms {
-            let x = {
-                let rng = &mut vm.io_rng;
-                vm.io_luck.step(rng)
-            };
-            io_luck.push(luck_multiplier(x, io_amp));
-            let y = {
-                let rng = &mut vm.cpi_rng;
-                vm.cpi_luck.step(rng)
-            };
-            cpi_luck.push(luck_multiplier(y, cpi_amp));
+            let io_luck = luck_multiplier(vm.io_luck.step(&mut vm.io_rng), io_amp);
+            let cpi_luck = luck_multiplier(vm.cpi_luck.step(&mut vm.cpi_rng), cpi_amp);
+
+            let first = s.proc_demands.len();
+            if !vm.paused {
+                s.proc_demands.extend(vm.processes.iter().map(|(_, p)| p.demand(dt)));
+            }
+            s.offsets.push(first);
+            let d = aggregate(&s.proc_demands[first..]);
+            s.demands.push(d);
+
+            let total_ops = d.rand_ops + d.seq_ops;
+            let total_bytes = d.rand_bytes + d.seq_bytes;
+            let (ops_ok, bytes_ok) = vm.io_throttle.clamp(total_ops, total_bytes, dt_s);
+            let ops_scale = if total_ops > 0.0 { ops_ok / total_ops } else { 0.0 };
+            let bytes_scale = if total_bytes > 0.0 { bytes_ok / total_bytes } else { 0.0 };
+            s.disk_reqs.push(DiskRequest {
+                rand_ops: d.rand_ops * ops_scale,
+                rand_bytes: d.rand_bytes * bytes_scale,
+                seq_ops: d.seq_ops * ops_scale,
+                seq_bytes: d.seq_bytes * bytes_scale,
+                luck: io_luck,
+                queue_depth: d.io_queue_depth,
+            });
+
+            // CPU hard caps bound how many instructions the VM can actually
+            // issue, and with them its memory pressure — this is what makes
+            // `vcpu_quota` capping effective against LLC/bandwidth
+            // antagonists (§III-C).
+            let cores = vm.cpu_cap.effective_cores(vm.config.vcpus);
+            let issue_limit = cores * dt_s * freq / d.base_cpi.max(0.1);
+            let full_rate = vm.config.vcpus as f64 * dt_s * freq / d.base_cpi.max(0.1);
+            let instr_demand = d.instructions.min(issue_limit);
+            s.mem_reqs.push(MemRequest {
+                instr_demand,
+                activity: if full_rate > 0.0 {
+                    (instr_demand / full_rate).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                },
+                refs_per_instr: d.refs_per_instr,
+                working_set: d.working_set,
+                cache_reuse: d.cache_reuse,
+                base_cpi: d.base_cpi,
+                luck: cpi_luck,
+            });
         }
+        s.offsets.push(s.proc_demands.len());
 
-        // 2. Aggregate demand per VM.
-        let demands: Vec<_> = self.vms.iter().map(|v| v.aggregate_demand(dt)).collect();
+        // 3. Block device.
+        let disk_rho = disk_allocate_into(
+            &s.disk_reqs,
+            &self.config.disk,
+            self.config.speed_factor,
+            dt_s,
+            &mut s.disk,
+            &mut s.disk_out,
+        );
 
-        // 3+4. Throttle and arbitrate the block device.
-        let disk_reqs: Vec<DiskRequest> = self
-            .vms
-            .iter()
-            .zip(&demands)
-            .zip(&io_luck)
-            .map(|((vm, d), &luck)| {
-                let total_ops = d.rand_ops + d.seq_ops;
-                let total_bytes = d.rand_bytes + d.seq_bytes;
-                let (ops_ok, bytes_ok) = vm.io_throttle.clamp(total_ops, total_bytes, dt_s);
-                let ops_scale = if total_ops > 0.0 { ops_ok / total_ops } else { 0.0 };
-                let bytes_scale = if total_bytes > 0.0 { bytes_ok / total_bytes } else { 0.0 };
-                DiskRequest {
-                    rand_ops: d.rand_ops * ops_scale,
-                    rand_bytes: d.rand_bytes * bytes_scale,
-                    seq_ops: d.seq_ops * ops_scale,
-                    seq_bytes: d.seq_bytes * bytes_scale,
-                    luck,
-                    queue_depth: d.io_queue_depth,
-                }
-            })
-            .collect();
-        let disk = disk_allocate(&disk_reqs, &self.config.disk, self.config.speed_factor, dt_s);
+        // 4. Memory model: per-VM CPI and miss rate.
+        let mem_rho = mem_model_into(&s.mem_reqs, &self.config.memory, dt_s, &mut s.mem_out);
 
-        // 5. Memory model: per-VM CPI and miss rate.
-        let freq_for_mem = self.config.effective_frequency();
-        let mem_reqs: Vec<MemRequest> = self
-            .vms
-            .iter()
-            .zip(&demands)
-            .zip(&cpi_luck)
-            .map(|((vm, d), &luck)| {
-                // CPU hard caps bound how many instructions the VM can
-                // actually issue, and with them its memory pressure — this
-                // is what makes `vcpu_quota` capping effective against
-                // LLC/bandwidth antagonists (§III-C).
-                let cores = vm.cpu_cap.effective_cores(vm.config.vcpus);
-                let issue_limit = cores * dt_s * freq_for_mem / d.base_cpi.max(0.1);
-                let full_rate = vm.config.vcpus as f64 * dt_s * freq_for_mem / d.base_cpi.max(0.1);
-                let instr_demand = d.instructions.min(issue_limit);
-                MemRequest {
-                    instr_demand,
-                    activity: if full_rate > 0.0 {
-                        (instr_demand / full_rate).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    },
-                    refs_per_instr: d.refs_per_instr,
-                    working_set: d.working_set,
-                    cache_reuse: d.cache_reuse,
-                    base_cpi: d.base_cpi,
-                    luck,
-                }
-            })
-            .collect();
-        let mem = mem_model(&mem_reqs, &self.config.memory, dt_s);
-
-        // 6. CPU allocation.
-        let freq = self.config.effective_frequency();
-        let cpu_reqs: Vec<CpuRequest> = self
-            .vms
-            .iter()
-            .zip(&demands)
-            .zip(&mem.outcomes)
-            .map(|((vm, d), m)| {
-                let cores = vm.cpu_cap.effective_cores(vm.config.vcpus);
-                let par = d.parallelism.min(cores);
-                // Time needed to retire the demanded instructions at this CPI.
-                let needed = d.instructions * m.cpi / freq;
-                CpuRequest {
-                    demand: needed.min(par * dt_s),
-                    limit: cores * dt_s,
-                    weight: vm.config.vcpus as f64,
-                }
-            })
-            .collect();
+        // 5. CPU allocation.
+        s.cpu_reqs.extend(self.vms.iter().zip(&s.demands).zip(&s.mem_out).map(|((vm, d), m)| {
+            let cores = vm.cpu_cap.effective_cores(vm.config.vcpus);
+            let par = d.parallelism.min(cores);
+            // Time needed to retire the demanded instructions at this CPI.
+            let needed = d.instructions * m.cpi / freq;
+            CpuRequest {
+                demand: needed.min(par * dt_s),
+                limit: cores * dt_s,
+                weight: vm.config.vcpus as f64,
+            }
+        }));
         // Live migrations steal hypervisor cores for the copy streams;
         // with no migration in flight this is byte-identical to the
         // untaxed capacity.
         let cpu_capacity = (self.config.cores as f64 - self.migration_load).max(0.0) * dt_s;
-        let cpu_alloc = cpu_allocate(&cpu_reqs, cpu_capacity);
-        let cpu_used: f64 = cpu_alloc.iter().sum();
+        cpu_allocate_into(&s.cpu_reqs, cpu_capacity, &mut s.cpu, &mut s.cpu_alloc);
+        let cpu_used: f64 = s.cpu_alloc.iter().sum();
 
-        // 7+8. Account counters, distribute achievements, reap finished.
+        // 6. Account counters, distribute achievements, reap finished.
         let mut finished = Vec::new();
-        for i in 0..n {
-            let d = &demands[i];
-            let m = &mem.outcomes[i];
-            let dsk = &disk.outcomes[i];
-            let cpu_time = cpu_alloc[i];
+        for (i, vm) in self.vms.iter_mut().enumerate() {
+            let d = &s.demands[i];
+            let m = &s.mem_out[i];
+            let dsk = &s.disk_out[i];
+            let cpu_time = s.cpu_alloc[i];
             let cycles = cpu_time * freq;
             let instructions = (cycles / m.cpi).min(d.instructions.max(0.0));
             let llc_refs = instructions * d.refs_per_instr;
@@ -413,13 +425,13 @@ impl PhysicalServer {
                 llc_references: llc_refs,
                 llc_misses,
             };
-            self.vms[i].counters.accumulate(&delta);
+            vm.counters.accumulate(&delta);
 
             // A paused VM's processes are frozen mid-flight: no demand was
             // aggregated above, and skipping `advance` here keeps even
             // wall-clock-driven processes (duration-based antagonists)
             // from progressing through the stop-and-copy window.
-            if self.vms[i].paused {
+            if vm.paused {
                 continue;
             }
 
@@ -430,9 +442,9 @@ impl PhysicalServer {
             let ops_frac = if ops_demand > 0.0 { dsk.ops / ops_demand } else { 0.0 };
             let bytes_frac = if bytes_demand > 0.0 { dsk.bytes / bytes_demand } else { 0.0 };
 
-            let proc_demands = self.vms[i].process_demands(dt);
-            let vm = &mut self.vms[i];
-            for ((pid, proc_), pd) in vm.processes.iter_mut().zip(&proc_demands) {
+            let proc_demands = &s.proc_demands[s.offsets[i]..s.offsets[i + 1]];
+            let mut any_done = false;
+            for ((pid, proc_), pd) in vm.processes.iter_mut().zip(proc_demands) {
                 let p_instr = pd.cpu_instructions * instr_frac;
                 let achieved = Achieved {
                     cpu_time: if d.instructions > 0.0 {
@@ -450,6 +462,7 @@ impl PhysicalServer {
                 };
                 proc_.advance(&achieved, dt);
                 if proc_.is_done() {
+                    any_done = true;
                     finished.push(FinishedProcess {
                         vm: vm.id,
                         pid: *pid,
@@ -457,19 +470,73 @@ impl PhysicalServer {
                     });
                 }
             }
-            vm.processes.retain(|(_, p)| !p.is_done());
+            if any_done {
+                vm.processes.retain(|(_, p)| !p.is_done());
+            }
         }
 
-        self.last_disk_rho = disk.offered_utilization;
-        self.last_mem_rho = mem.offered_utilization;
+        self.last_disk_rho = disk_rho;
+        self.last_mem_rho = mem_rho;
 
         TickReport {
             finished,
-            disk_utilization: disk.offered_utilization,
-            memory_utilization: mem.offered_utilization,
+            disk_utilization: disk_rho,
+            memory_utilization: mem_rho,
             cpu_utilization: cpu_used / (self.config.cores as f64 * dt_s),
         }
     }
+}
+
+/// The working columns of one host tick, index-aligned with the ticking
+/// server's VMs (the process-demand column is flat, VM `i` owning
+/// `proc_demands[offsets[i]..offsets[i + 1]]`). Every column is cleared at
+/// the start of a tick and only ever grows, so once it has seen the
+/// largest server on its thread it never touches the heap again.
+struct TickScratch {
+    proc_demands: Vec<ResourceDemand>,
+    offsets: Vec<usize>,
+    demands: Vec<VmDemand>,
+    disk_reqs: Vec<DiskRequest>,
+    disk: DiskScratch,
+    disk_out: Vec<DiskOutcome>,
+    mem_reqs: Vec<MemRequest>,
+    mem_out: Vec<MemOutcome>,
+    cpu_reqs: Vec<CpuRequest>,
+    cpu: CpuScratch,
+    cpu_alloc: Vec<f64>,
+}
+
+impl TickScratch {
+    const fn new() -> Self {
+        TickScratch {
+            proc_demands: Vec::new(),
+            offsets: Vec::new(),
+            demands: Vec::new(),
+            disk_reqs: Vec::new(),
+            disk: DiskScratch::new(),
+            disk_out: Vec::new(),
+            mem_reqs: Vec::new(),
+            mem_out: Vec::new(),
+            cpu_reqs: Vec::new(),
+            cpu: CpuScratch::new(),
+            cpu_alloc: Vec::new(),
+        }
+    }
+
+    /// Empties the columns the luck/demand pass appends to; the
+    /// allocators overwrite their own outputs.
+    fn clear(&mut self) {
+        self.proc_demands.clear();
+        self.offsets.clear();
+        self.demands.clear();
+        self.disk_reqs.clear();
+        self.mem_reqs.clear();
+        self.cpu_reqs.clear();
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<TickScratch> = const { RefCell::new(TickScratch::new()) };
 }
 
 #[cfg(test)]

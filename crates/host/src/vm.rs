@@ -97,101 +97,56 @@ impl Vm {
     pub fn process_count(&self) -> usize {
         self.processes.len()
     }
+}
 
-    /// Aggregates all process demands for a tick of length `dt`. A paused
-    /// VM demands nothing — identical to a VM with no processes — so the
-    /// stop-and-copy stall is a pure progress freeze.
-    pub(crate) fn aggregate_demand(&self, dt: perfcloud_sim::SimDuration) -> VmDemand {
-        let mut agg = VmDemand::default();
-        let mut w_refs = 0.0;
-        let mut w_reuse = 0.0;
-        let mut w_cpi = 0.0;
-        let mut w_depth = 0.0;
-        let processes: &[_] = if self.paused { &[] } else { &self.processes };
-        for (_, p) in processes {
-            let d = p.demand(dt);
-            agg.instructions += d.cpu_instructions;
-            agg.parallelism += d.cpu_parallelism;
-            w_depth += d.io_queue_depth * d.io_ops;
-            match d.io_pattern {
-                IoPattern::Random => {
-                    agg.rand_ops += d.io_ops;
-                    agg.rand_bytes += d.io_bytes;
-                }
-                IoPattern::Sequential => {
-                    agg.seq_ops += d.io_ops;
-                    agg.seq_bytes += d.io_bytes;
-                }
+/// Sums one VM's per-process demands (in process order) into the VM's
+/// demand for the tick. A paused VM passes an empty slice and so demands
+/// nothing — identical to a VM with no processes — which makes the
+/// stop-and-copy stall a pure progress freeze.
+pub(crate) fn aggregate(demands: &[ResourceDemand]) -> VmDemand {
+    let mut agg = VmDemand::default();
+    let mut w_refs = 0.0;
+    let mut w_reuse = 0.0;
+    let mut w_cpi = 0.0;
+    let mut w_depth = 0.0;
+    for d in demands {
+        agg.instructions += d.cpu_instructions;
+        agg.parallelism += d.cpu_parallelism;
+        w_depth += d.io_queue_depth * d.io_ops;
+        match d.io_pattern {
+            IoPattern::Random => {
+                agg.rand_ops += d.io_ops;
+                agg.rand_bytes += d.io_bytes;
             }
-            agg.working_set += d.working_set * if d.cpu_instructions > 0.0 { 1.0 } else { 0.0 };
-            w_refs += d.mem_refs_per_instr * d.cpu_instructions;
-            w_reuse += d.cache_reuse * d.cpu_instructions;
-            w_cpi += d.base_cpi * d.cpu_instructions;
+            IoPattern::Sequential => {
+                agg.seq_ops += d.io_ops;
+                agg.seq_bytes += d.io_bytes;
+            }
         }
-        if agg.instructions > 0.0 {
-            agg.refs_per_instr = w_refs / agg.instructions;
-            agg.cache_reuse = w_reuse / agg.instructions;
-            agg.base_cpi = w_cpi / agg.instructions;
-        } else {
-            agg.base_cpi = 1.0;
-        }
-        let total_ops = agg.rand_ops + agg.seq_ops;
-        agg.io_queue_depth = if total_ops > 0.0 { w_depth / total_ops } else { 32.0 };
-        agg
+        agg.working_set += d.working_set * if d.cpu_instructions > 0.0 { 1.0 } else { 0.0 };
+        w_refs += d.mem_refs_per_instr * d.cpu_instructions;
+        w_reuse += d.cache_reuse * d.cpu_instructions;
+        w_cpi += d.base_cpi * d.cpu_instructions;
     }
-
-    /// Per-process demands (same order as the internal process list).
-    pub(crate) fn process_demands(&self, dt: perfcloud_sim::SimDuration) -> Vec<ResourceDemand> {
-        self.processes.iter().map(|(_, p)| p.demand(dt)).collect()
+    if agg.instructions > 0.0 {
+        agg.refs_per_instr = w_refs / agg.instructions;
+        agg.cache_reuse = w_reuse / agg.instructions;
+        agg.base_cpi = w_cpi / agg.instructions;
+    } else {
+        agg.base_cpi = 1.0;
     }
+    let total_ops = agg.rand_ops + agg.seq_ops;
+    agg.io_queue_depth = if total_ops > 0.0 { w_depth / total_ops } else { 32.0 };
+    agg
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jitter::Ar1;
-    use perfcloud_sim::{RngFactory, SimDuration};
-
-    #[derive(Clone)]
-    struct FakeProc {
-        demand: ResourceDemand,
-    }
-    impl Process for FakeProc {
-        fn demand(&self, _dt: SimDuration) -> ResourceDemand {
-            self.demand
-        }
-        fn advance(&mut self, _a: &crate::demand::Achieved, _dt: SimDuration) {}
-        fn is_done(&self) -> bool {
-            false
-        }
-        fn progress(&self) -> f64 {
-            0.0
-        }
-        fn label(&self) -> &str {
-            "fake"
-        }
-    }
-
-    fn make_vm() -> Vm {
-        let f = RngFactory::new(1);
-        Vm::new(
-            VmId(0),
-            VmConfig::high_priority(),
-            Ar1::with_time_constant(5.0, 0.1),
-            Ar1::with_time_constant(5.0, 0.1),
-            f.stream("io"),
-            f.stream("cpi"),
-        )
-    }
-
-    fn proc_with(demand: ResourceDemand) -> (ProcessId, Box<dyn Process>) {
-        (ProcessId(0), Box::new(FakeProc { demand }))
-    }
 
     #[test]
     fn empty_vm_has_idle_demand() {
-        let vm = make_vm();
-        let d = vm.aggregate_demand(SimDuration::from_millis(100));
+        let d = aggregate(&[]);
         assert_eq!(d.instructions, 0.0);
         assert_eq!(d.rand_ops, 0.0);
         assert_eq!(d.base_cpi, 1.0);
@@ -199,20 +154,20 @@ mod tests {
 
     #[test]
     fn io_patterns_bucketed_separately() {
-        let mut vm = make_vm();
-        vm.processes.push(proc_with(ResourceDemand {
-            io_ops: 10.0,
-            io_bytes: 100.0,
-            io_pattern: IoPattern::Random,
-            ..ResourceDemand::idle()
-        }));
-        vm.processes.push(proc_with(ResourceDemand {
-            io_ops: 3.0,
-            io_bytes: 999.0,
-            io_pattern: IoPattern::Sequential,
-            ..ResourceDemand::idle()
-        }));
-        let d = vm.aggregate_demand(SimDuration::from_millis(100));
+        let d = aggregate(&[
+            ResourceDemand {
+                io_ops: 10.0,
+                io_bytes: 100.0,
+                io_pattern: IoPattern::Random,
+                ..ResourceDemand::idle()
+            },
+            ResourceDemand {
+                io_ops: 3.0,
+                io_bytes: 999.0,
+                io_pattern: IoPattern::Sequential,
+                ..ResourceDemand::idle()
+            },
+        ]);
         assert_eq!(d.rand_ops, 10.0);
         assert_eq!(d.rand_bytes, 100.0);
         assert_eq!(d.seq_ops, 3.0);
@@ -221,24 +176,24 @@ mod tests {
 
     #[test]
     fn memory_attributes_are_instruction_weighted() {
-        let mut vm = make_vm();
-        vm.processes.push(proc_with(ResourceDemand {
-            cpu_instructions: 1e6,
-            cpu_parallelism: 1.0,
-            mem_refs_per_instr: 0.1,
-            cache_reuse: 1.0,
-            working_set: 10.0,
-            ..ResourceDemand::idle()
-        }));
-        vm.processes.push(proc_with(ResourceDemand {
-            cpu_instructions: 3e6,
-            cpu_parallelism: 1.0,
-            mem_refs_per_instr: 0.3,
-            cache_reuse: 0.0,
-            working_set: 30.0,
-            ..ResourceDemand::idle()
-        }));
-        let d = vm.aggregate_demand(SimDuration::from_millis(100));
+        let d = aggregate(&[
+            ResourceDemand {
+                cpu_instructions: 1e6,
+                cpu_parallelism: 1.0,
+                mem_refs_per_instr: 0.1,
+                cache_reuse: 1.0,
+                working_set: 10.0,
+                ..ResourceDemand::idle()
+            },
+            ResourceDemand {
+                cpu_instructions: 3e6,
+                cpu_parallelism: 1.0,
+                mem_refs_per_instr: 0.3,
+                cache_reuse: 0.0,
+                working_set: 30.0,
+                ..ResourceDemand::idle()
+            },
+        ]);
         assert_eq!(d.instructions, 4e6);
         assert_eq!(d.parallelism, 2.0);
         assert!((d.refs_per_instr - 0.25).abs() < 1e-12);
@@ -248,13 +203,11 @@ mod tests {
 
     #[test]
     fn idle_process_working_set_excluded() {
-        let mut vm = make_vm();
-        vm.processes.push(proc_with(ResourceDemand {
+        let d = aggregate(&[ResourceDemand {
             cpu_instructions: 0.0,
             working_set: 1e9,
             ..ResourceDemand::idle()
-        }));
-        let d = vm.aggregate_demand(SimDuration::from_millis(100));
+        }]);
         assert_eq!(d.working_set, 0.0);
     }
 }
